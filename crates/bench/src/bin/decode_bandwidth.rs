@@ -19,7 +19,7 @@
 //! the per-stage codec histograms (`eblcio_codec_<stage>_*` in the
 //! process registry) accumulated over the run.
 
-use eblcio_bench::{results_dir, scale_from_env, TextTable};
+use eblcio_bench::{env_usize, results_dir, scale_from_env, TextTable};
 use eblcio_codec::{
     compress, decompress, decompress_region, CodecChain, CompressorId, ErrorBound, Qoz, Sz2, Sz3,
 };
@@ -56,13 +56,6 @@ struct Report {
     scale: String,
     eps: f64,
     results: Vec<CodecResult>,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Best-of-`reps` wall time of `f`, after one unmeasured warm-up.

@@ -21,7 +21,7 @@
 //! enabled arm exceeds the baseline by more than `EBLCIO_OBS_GATE_PCT`
 //! percent (default 2).
 
-use eblcio_bench::scale_from_env;
+use eblcio_bench::{env_usize, scale_from_env};
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_data::{Dataset, DatasetKind, DatasetSpec, NdArray, Shape};
 use eblcio_serve::{ArrayReader, CacheConfig, ReaderConfig};
@@ -29,13 +29,6 @@ use eblcio_store::{ChunkedStore, Region};
 use std::time::Instant;
 
 const EPS: f64 = 1e-3;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)

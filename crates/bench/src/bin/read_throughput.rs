@@ -35,7 +35,7 @@
 //! phase). `EBLCIO_METRICS=1` additionally prints the warm reader's
 //! full percentile report and the process-wide registry at the end.
 
-use eblcio_bench::{scale_from_env, TextTable};
+use eblcio_bench::{env_usize, scale_from_env, TextTable};
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_data::{Dataset, DatasetKind, DatasetSpec, Shape};
 use eblcio_obs::HistogramSnapshot;
@@ -76,13 +76,6 @@ fn backend_from_env(stream: &[u8]) -> Option<ReadBackend> {
 const EPS: f64 = 1e-3;
 const THREADS: usize = 8;
 const CHUNKS_PER_SHARD: usize = 8;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Overlapping interior boxes stepping along dimension 0 — each region
 /// shares chunks with its neighbours, the shape of an analysis sweep.

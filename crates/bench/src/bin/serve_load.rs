@@ -31,7 +31,7 @@
 //!
 //! Results land in `bench_results/serve_load.csv`.
 
-use eblcio_bench::{scale_from_env, TextTable};
+use eblcio_bench::{env_usize, scale_from_env, TextTable};
 use eblcio_codec::{CompressorId, ErrorBound};
 use eblcio_daemon::{AnyReader, Daemon, DaemonClient, DaemonConfig, DaemonError, RegionSpec};
 use eblcio_data::{Dataset, DatasetKind, DatasetSpec, Shape};
@@ -44,13 +44,6 @@ use std::time::Instant;
 
 const EPS: f64 = 1e-3;
 const THREADS: usize = 8;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_usize_list(name: &str, default: &[usize]) -> Vec<usize> {
     match std::env::var(name) {

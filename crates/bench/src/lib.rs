@@ -27,6 +27,15 @@ pub fn scale_from_env() -> Scale {
     }
 }
 
+/// The integer in environment variable `name`, or `default` when it is
+/// unset or does not parse.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Repetition protocol selected by `EBLCIO_RUNS` (default `quick`).
 pub fn runner_from_env() -> CampaignRunner {
     match std::env::var("EBLCIO_RUNS").as_deref() {

@@ -9,12 +9,12 @@
 //! one match — no trait objects, no per-request branching beyond it.
 
 use crate::protocol::ArrayData;
+use eblcio_codec::header::Header;
 use eblcio_codec::{CodecError, Result};
-use eblcio_data::{NdArray, Shape};
+use eblcio_data::{Element, NdArray, Shape};
 use eblcio_obs::MetricsRegistry;
 use eblcio_serve::{ArrayReader, ReaderConfig, ReaderStats};
-use eblcio_store::mutable::MUTABLE_MAGIC;
-use eblcio_store::{ChunkedStore, MutableStore, Region, Storage};
+use eblcio_store::{ChunkedStore, Region, Storage};
 use std::sync::Arc;
 
 /// A dtype-erased [`ArrayReader`] serving either element type.
@@ -32,16 +32,12 @@ impl AnyReader {
         Self::over(ChunkedStore::open(stream)?, config)
     }
 
-    /// Opens shared container bytes: an `EBMS` mutable store serves its
+    /// Opens shared container bytes through
+    /// [`ChunkedStore::open_current`]: an `EBMS` mutable store serves its
     /// current generation, anything else must be an immutable `EBCS`
     /// stream.
     pub fn open_arc(bytes: Arc<[u8]>, config: ReaderConfig) -> Result<Self> {
-        let store = if bytes.starts_with(MUTABLE_MAGIC) {
-            MutableStore::open_arc(bytes)?.current()?
-        } else {
-            ChunkedStore::open_arc(bytes)?
-        };
-        Self::over(store, config)
+        Self::over(ChunkedStore::open_current(bytes)?, config)
     }
 
     /// Opens the object under `key` on a [`Storage`] backend (mirrors
@@ -104,8 +100,8 @@ impl AnyReader {
     /// have validated `region` against [`AnyReader::shape`].
     pub fn read_region_data(&self, region: &Region) -> Result<ArrayData> {
         match self {
-            AnyReader::F32(r) => Ok(wire_f32(&r.read_region(region)?)),
-            AnyReader::F64(r) => Ok(wire_f64(&r.read_region(region)?)),
+            AnyReader::F32(r) => Ok(wire(&r.read_region(region)?)),
+            AnyReader::F64(r) => Ok(wire(&r.read_region(region)?)),
         }
     }
 
@@ -113,8 +109,8 @@ impl AnyReader {
     /// must have validated `i` against [`AnyReader::n_chunks`].
     pub fn read_chunk_data(&self, i: usize) -> Result<ArrayData> {
         match self {
-            AnyReader::F32(r) => Ok(wire_f32(r.read_chunk(i)?.as_ref())),
-            AnyReader::F64(r) => Ok(wire_f64(r.read_chunk(i)?.as_ref())),
+            AnyReader::F32(r) => Ok(wire(r.read_chunk(i)?.as_ref())),
+            AnyReader::F64(r) => Ok(wire(r.read_chunk(i)?.as_ref())),
         }
     }
 
@@ -128,25 +124,15 @@ impl AnyReader {
     }
 }
 
-fn wire_f32(arr: &NdArray<f32>) -> ArrayData {
-    let mut bytes = Vec::with_capacity(arr.len() * 4);
-    for v in arr.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
+/// Converts a decoded array into its wire form: the container dtype
+/// tag, the dims, and the samples as little-endian bytes.
+fn wire<T: Element>(arr: &NdArray<T>) -> ArrayData {
+    let mut bytes = Vec::with_capacity(arr.len() * T::BYTES);
+    for &v in arr.as_slice() {
+        v.write_le(&mut bytes);
     }
     ArrayData {
-        dtype: 0,
-        dims: arr.shape().dims().iter().map(|&d| d as u64).collect(),
-        bytes,
-    }
-}
-
-fn wire_f64(arr: &NdArray<f64>) -> ArrayData {
-    let mut bytes = Vec::with_capacity(arr.len() * 8);
-    for v in arr.as_slice() {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    ArrayData {
-        dtype: 1,
+        dtype: Header::dtype_of::<T>(),
         dims: arr.shape().dims().iter().map(|&d| d as u64).collect(),
         bytes,
     }

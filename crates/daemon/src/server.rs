@@ -25,7 +25,8 @@
 use crate::any::AnyReader;
 use crate::error::Result;
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, FrameRead, RegionSpec, Reply, Request, MAX_REQUEST_FRAME,
+    read_frame, write_frame, ErrorCode, FrameRead, RegionSpec, Reply, Request, MAX_REPLY_FRAME,
+    MAX_REQUEST_FRAME,
 };
 use crate::queue::{BoundedQueue, PushError};
 use eblcio_data::shape::MAX_RANK;
@@ -412,12 +413,32 @@ fn region_for(spec: &RegionSpec, shape: Shape) -> std::result::Result<Region, &'
     Ok(Region::new(&origin[..rank], &extent[..rank]))
 }
 
+/// Refuses, before any decode, a read whose reply could not fit in one
+/// frame: the samples of every region times the dtype width, summed
+/// with checked arithmetic, must stay within [`MAX_REPLY_FRAME`].
+/// Otherwise a small request could force a whole-store decode for a
+/// reply no client can receive.
+fn admit_reply(reader: &AnyReader, regions: &[Region]) -> std::result::Result<(), &'static str> {
+    let width: u64 = if reader.dtype() == 0 { 4 } else { 8 };
+    let mut total = 0u64;
+    for r in regions {
+        total = (r.len() as u64)
+            .checked_mul(width)
+            .and_then(|b| total.checked_add(b))
+            .filter(|&t| t <= MAX_REPLY_FRAME as u64)
+            .ok_or("reply exceeds the reply frame cap")?;
+    }
+    Ok(())
+}
+
 /// Runs one request against the reader — on a worker thread, never on
 /// a connection thread. Every failure is a typed error reply.
 fn execute(shared: &Shared, request: Request) -> Reply {
     let reader = &shared.reader;
     match request {
-        Request::ReadRegion(spec) => match region_for(&spec, reader.shape()) {
+        Request::ReadRegion(spec) => match region_for(&spec, reader.shape())
+            .and_then(|region| admit_reply(reader, std::slice::from_ref(&region)).map(|()| region))
+        {
             Ok(region) => match reader.read_region_data(&region) {
                 Ok(data) => Reply::Data(data),
                 Err(e) => server_error(e),
@@ -442,17 +463,18 @@ fn execute(shared: &Shared, request: Request) -> Reply {
             Err(why) => bad_request(why),
         },
         Request::Batch(specs) => {
-            let mut items = Vec::with_capacity(specs.len());
-            for spec in &specs {
-                match region_for(spec, reader.shape()) {
-                    Ok(region) => match reader.read_region_data(&region) {
-                        Ok(data) => items.push(data),
-                        Err(e) => return server_error(e),
-                    },
-                    Err(why) => return bad_request(why),
-                }
+            let regions = specs
+                .iter()
+                .map(|spec| region_for(spec, reader.shape()))
+                .collect::<std::result::Result<Vec<_>, _>>()
+                .and_then(|regions| admit_reply(reader, &regions).map(|()| regions));
+            match regions {
+                Ok(regions) => match regions.iter().map(|r| reader.read_region_data(r)).collect() {
+                    Ok(items) => Reply::Batch(items),
+                    Err(e) => server_error(e),
+                },
+                Err(why) => bad_request(why),
             }
-            Reply::Batch(items)
         }
         Request::Stats => Reply::Stats(reader.stats()),
         Request::Metrics => Reply::Text(obs::prometheus(reader.metrics())),

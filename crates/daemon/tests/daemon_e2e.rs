@@ -137,6 +137,43 @@ fn bad_requests_get_typed_errors_and_the_connection_survives() {
     daemon.shutdown();
 }
 
+/// Reply-size admission: a batch whose samples could never fit in one
+/// reply frame (80 full reads of a 4 MiB store is 320 MiB, over the
+/// 256 MiB cap) is refused with a typed `BadRequest` before any chunk
+/// is decoded; a single full read of the same store is still served.
+#[test]
+fn oversized_batch_is_refused_before_any_decode() {
+    let data = NdArray::<f32>::from_fn(Shape::d2(1024, 1024), |i| {
+        (i[0] as f32 * 0.01).sin() * 40.0 + (i[1] as f32 * 0.02).cos() * 15.0
+    });
+    let codec = CompressorId::Szx.instance();
+    let stream = ChunkedStore::write(
+        codec.as_ref(),
+        &data,
+        ErrorBound::Relative(1e-3),
+        Shape::d2(256, 256),
+        2,
+    )
+    .unwrap();
+    let reader = AnyReader::open(&stream, ReaderConfig::default()).unwrap();
+    let daemon = Daemon::start(reader, DaemonConfig::default(), "127.0.0.1:0").unwrap();
+    let mut client = DaemonClient::connect(daemon.local_addr()).unwrap();
+
+    let full = RegionSpec::new(&[0, 0], &[1024, 1024]);
+    let before = client.stats().unwrap();
+    match client.batch(&vec![full.clone(); 80]) {
+        Err(DaemonError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest, got {:?}", other.map(|items| items.len())),
+    }
+    let after = client.stats().unwrap();
+    assert_eq!(after.decodes, before.decodes, "a refused reply must decode nothing");
+    assert_eq!(after.requests, before.requests);
+
+    let got = client.read_region(&full).unwrap();
+    assert_eq!(got.bytes.len(), data.nbytes());
+    daemon.shutdown();
+}
+
 /// The admission contract: with one worker occupied and a queue of
 /// one filled, the next request is answered `Overloaded` immediately —
 /// not queued, not hung.

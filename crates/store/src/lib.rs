@@ -12,7 +12,9 @@
 //! * **partial reads** — [`ChunkedStore::read_region`] decompresses
 //!   only the chunks an axis-aligned region intersects,
 //! * **parallel scaling** — writes and full reads fan chunks out over
-//!   the shared rayon pool,
+//!   the shared rayon pool; all four `ChunkedStore::write*` entry points
+//!   feed one write pipeline, and [`ChunkedStore::read_full`] is a
+//!   region read of the whole shape,
 //! * **placement** — chunks map onto PFS object placement
 //!   ([`pfs_io::write_store`] stripes them round-robin across OSTs), so
 //!   only the touched chunks pay I/O energy on read-back,
@@ -23,7 +25,9 @@
 //!   manifest generations: readers opened on generation N are
 //!   bit-stable while N+1 is written, [`MutableStore::open_at`]
 //!   time-travels, and [`MutableStore::compact`] reclaims dead bytes
-//!   (see [`mutable`]).
+//!   (see [`mutable`]). [`ChunkedStore::open_current`] opens either
+//!   container: the current generation of an `EBMS` file, or an
+//!   immutable `EBCS` stream.
 //!
 //! ```
 //! use eblcio_codec::{CompressorId, ErrorBound};

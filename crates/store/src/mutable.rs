@@ -59,7 +59,6 @@ use crate::manifest::{GenerationMeta, Manifest};
 use crate::metrics::store_metrics;
 use crate::storage::Storage;
 use crate::store::ChunkedStore;
-use eblcio_codec::header::Header;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
 use eblcio_codec::{
@@ -714,17 +713,6 @@ impl StoreWriter<'_> {
         self.staged.len()
     }
 
-    fn check_dtype<T: Element>(&self) -> Result<()> {
-        if self.store.dtype() == Header::dtype_of::<T>() {
-            Ok(())
-        } else {
-            Err(CodecError::DtypeMismatch {
-                expected: if self.store.dtype() == 0 { "f32" } else { "f64" },
-                got: T::NAME,
-            })
-        }
-    }
-
     /// Stages a region write: every chunk intersecting `region` is
     /// decoded (from its staged version if this transaction already
     /// rewrote it, so staged writes to one chunk accumulate), overlaid
@@ -739,7 +727,7 @@ impl StoreWriter<'_> {
         threads: usize,
     ) -> Result<usize> {
         assert!(threads >= 1, "thread count must be >= 1");
-        self.check_dtype::<T>()?;
+        self.store.check_dtype::<T>()?;
         if !region.fits_in(self.store.shape()) {
             return Err(CodecError::Corrupt { context: "update region bounds" });
         }
@@ -807,7 +795,7 @@ impl StoreWriter<'_> {
     /// store's bound, with no decode of the previous content — the
     /// drift-free way to rewrite full chunks.
     pub fn stage_chunk<T: Element>(&mut self, i: usize, data: &NdArray<T>) -> Result<()> {
-        self.check_dtype::<T>()?;
+        self.store.check_dtype::<T>()?;
         if i >= self.store.n_chunks() {
             return Err(CodecError::Corrupt { context: "store chunk reference" });
         }

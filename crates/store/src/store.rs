@@ -3,9 +3,10 @@
 //! per-chunk selection — and read back all of it, one chunk, or any
 //! axis-aligned region.
 
-use crate::grid::{copy_region, gather, scatter_chunk, ChunkGrid, Region};
+use crate::grid::{gather, scatter_chunk, ChunkGrid, Region};
 use crate::manifest::{ChunkEntry, ChunkSlot, Manifest, ShardTable, MAX_CHAINS};
 use crate::metrics::store_metrics;
+use crate::mutable::{MutableStore, MUTABLE_MAGIC};
 use crate::shard::{build_shard, MAX_SLOTS};
 use crate::storage::Storage;
 use std::sync::Arc;
@@ -14,11 +15,11 @@ use eblcio_codec::header::Header;
 use eblcio_codec::parallel::pool_for;
 use eblcio_codec::util::crc32;
 use eblcio_codec::{
-    compress, compress_view, decompress, decompress_region, ChainSpec, CodecError, Compressor,
-    CompressorId, ErrorBound, Result,
+    compress_view, decompress, decompress_region, ChainSpec, CodecError, Compressor, CompressorId,
+    ErrorBound, Result,
 };
 use eblcio_data::shape::MAX_RANK;
-use eblcio_data::{Element, NdArray, QualityReport, Shape};
+use eblcio_data::{ArrayView, Element, NdArray, QualityReport, Shape};
 use eblcio_obs::{self as obs, Stopwatch};
 use rayon::prelude::*;
 
@@ -71,11 +72,11 @@ const PARTIAL_DECODE_DENOM: usize = 8;
 ///
 /// The store *shares* its underlying bytes behind an `Arc`, so clones
 /// and every decoded view are snapshot-isolated: once opened, a store's
-/// bytes can never change under it, even while a
-/// [`MutableStore`](crate::mutable::MutableStore) publishes newer
-/// generations of the same array. [`ChunkedStore::open`] copies the
-/// borrowed stream once; [`ChunkedStore::open_arc`] adopts an existing
-/// allocation without copying.
+/// bytes can never change under it, even while a [`MutableStore`]
+/// publishes newer generations of the same array.
+/// [`ChunkedStore::open`] copies the borrowed stream once;
+/// [`ChunkedStore::open_arc`] adopts an existing allocation without
+/// copying.
 #[derive(Clone, Debug)]
 pub struct ChunkedStore {
     manifest: Manifest,
@@ -88,27 +89,112 @@ pub struct ChunkedStore {
     payload_start: usize,
 }
 
-/// Assembles the finished stream from per-chunk streams + chain picks.
+/// Compresses every chunk of `data` in parallel on the shared rayon pool
+/// for `threads` workers and assembles the stream: the one pipeline
+/// behind all four `write*` entry points, which only validate their
+/// arguments.
+///
+/// Chunk `i` is compressed with `codecs[picks[i]]`; with `picks` `None`
+/// each chunk takes the codec with the best sampled CR estimate
+/// (adaptive mode). Chunks that are contiguous dimension-0 slabs are
+/// compressed from zero-copy borrowed views; interior chunks of
+/// multi-axis grids are gathered into a chunk-sized buffer first
+/// (unavoidable for non-contiguous regions of a row-major array).
+fn write_chunks<T: Element>(
+    codecs: &[&dyn Compressor],
+    picks: Option<&[usize]>,
+    data: &NdArray<T>,
+    bound: ErrorBound,
+    grid: &ChunkGrid,
+    chunks_per_shard: Option<usize>,
+    threads: usize,
+) -> Result<Vec<u8>> {
+    assert!(threads >= 1, "thread count must be >= 1");
+    // Resolve ε once against the global range: chunk-local ranges are
+    // narrower, so resolving per chunk would tighten the bound
+    // inconsistently across the grid.
+    let abs = bound.to_absolute(data.value_range())?;
+    let bound = ErrorBound::Absolute(abs);
+    let ids: Vec<usize> = (0..grid.n_chunks()).collect();
+    let compressed: Vec<Result<(usize, Vec<u8>)>> = pool_for(threads)?.install(|| {
+        ids.par_iter()
+            .map(|&i| {
+                let region = grid.chunk_region(i);
+                let gathered;
+                let chunk = if grid.chunk_is_slab(i) {
+                    data.slab(region.origin()[0], region.extent()[0])
+                } else {
+                    gathered = gather(data, &region);
+                    gathered.view()
+                };
+                let pick = match picks {
+                    Some(picks) => picks[i],
+                    None => best_codec(codecs, chunk, bound)?,
+                };
+                Ok((pick, compress_view(codecs[pick], chunk, bound)?))
+            })
+            .collect()
+    });
+    let (picks, streams): (Vec<usize>, Vec<Vec<u8>>) =
+        compressed.into_iter().collect::<Result<_>>()?;
+    Ok(assemble::<T>(
+        codecs,
+        &picks,
+        streams,
+        grid,
+        abs,
+        chunks_per_shard,
+    ))
+}
+
+/// Adaptive selection: the index of the codec with the best sampled CR
+/// estimate for `chunk` (zPerf-style pricing, a fraction of a full
+/// compression). The first codec wins ties.
+fn best_codec<T: Element>(
+    codecs: &[&dyn Compressor],
+    chunk: ArrayView<'_, T>,
+    bound: ErrorBound,
+) -> Result<usize> {
+    let chunk = chunk.to_owned();
+    let mut best = (0, f64::NEG_INFINITY);
+    for (c, &codec) in codecs.iter().enumerate() {
+        let est = estimate_cr(
+            codec,
+            &chunk,
+            bound,
+            ADAPTIVE_SAMPLE_SLABS,
+            ADAPTIVE_SAMPLE_ROWS,
+        )?;
+        if est.cr > best.1 {
+            best = (c, est.cr);
+        }
+    }
+    Ok(best.0)
+}
+
+/// Assembles the finished stream from per-chunk streams and chain
+/// picks. The manifest keeps only the chains chunks actually reference,
+/// in first-use order, so adaptive candidates that never win don't
+/// bloat it. With `chunks_per_shard` the payload is sharded (v3):
+/// consecutive raster-order chunks are packed that many at a time into
+/// `EBSH` objects and the manifest maps each chunk to its (shard, slot);
+/// otherwise the payload is the bare chunk streams.
 fn assemble<T: Element>(
-    chains: Vec<ChainSpec>,
+    codecs: &[&dyn Compressor],
     picks: &[usize],
     streams: Vec<Vec<u8>>,
-    shape: Shape,
-    chunk_shape: Shape,
+    grid: &ChunkGrid,
     abs: f64,
+    chunks_per_shard: Option<usize>,
 ) -> Vec<u8> {
-    // Keep only the chains that chunks actually reference, in first-use
-    // order, so adaptive candidates that never win don't bloat the
-    // manifest.
-    let mut remap = vec![u32::MAX; chains.len()];
-    let mut used: Vec<ChainSpec> = Vec::new();
+    let mut remap = vec![u32::MAX; codecs.len()];
+    let mut chains: Vec<ChainSpec> = Vec::new();
     let mut chunks = Vec::with_capacity(streams.len());
     let mut offset = 0u64;
-    for (i, s) in streams.iter().enumerate() {
-        let pick = picks[i];
+    for (&pick, s) in picks.iter().zip(&streams) {
         if remap[pick] == u32::MAX {
-            remap[pick] = used.len() as u32;
-            used.push(chains[pick].clone());
+            remap[pick] = chains.len() as u32;
+            chains.push(codecs[pick].spec());
         }
         chunks.push(ChunkEntry {
             chain: remap[pick],
@@ -117,77 +203,46 @@ fn assemble<T: Element>(
         });
         offset += s.len() as u64;
     }
+    let (objects, sharding) = match chunks_per_shard {
+        None => (streams, None),
+        Some(per) => {
+            let shards: Vec<Vec<u8>> = streams.chunks(per).map(build_shard).collect();
+            let table = ShardTable {
+                shard_lens: shards.iter().map(|s| s.len() as u64).collect(),
+                chunk_slots: (0..chunks.len())
+                    .map(|i| ChunkSlot {
+                        shard: (i / per) as u32,
+                        slot: (i % per) as u32,
+                    })
+                    .collect(),
+                index_lens: Vec::new(),
+                chunk_crcs: Vec::new(),
+            };
+            (shards, Some(table))
+        }
+    };
     let manifest = Manifest {
         dtype: Header::dtype_of::<T>(),
-        shape,
-        chunk_shape,
+        shape: grid.array_shape(),
+        chunk_shape: grid.chunk_shape(),
         abs_bound: abs,
-        chains: used,
+        chains,
         chunks,
-        sharding: None,
+        sharding,
         generation: None,
     };
     let mut out = manifest.encode();
-    out.reserve(offset as usize);
-    for s in &streams {
-        out.extend_from_slice(s);
-    }
-    out
-}
-
-/// Assembles a *sharded* (v3) stream: consecutive raster-order chunks
-/// are packed `chunks_per_shard` at a time into `EBSH` objects, and the
-/// manifest maps each chunk to its (shard, slot).
-fn assemble_sharded<T: Element>(
-    chain: ChainSpec,
-    streams: Vec<Vec<u8>>,
-    shape: Shape,
-    chunk_shape: Shape,
-    abs: f64,
-    chunks_per_shard: usize,
-) -> Vec<u8> {
-    let shards: Vec<Vec<u8>> = streams.chunks(chunks_per_shard).map(build_shard).collect();
-    let chunks: Vec<ChunkEntry> = streams
-        .iter()
-        .map(|_| ChunkEntry { chain: 0, offset: 0, len: 0 })
-        .collect();
-    let chunk_slots: Vec<ChunkSlot> = (0..streams.len())
-        .map(|i| ChunkSlot {
-            shard: (i / chunks_per_shard) as u32,
-            slot: (i % chunks_per_shard) as u32,
-        })
-        .collect();
-    let manifest = Manifest {
-        dtype: Header::dtype_of::<T>(),
-        shape,
-        chunk_shape,
-        abs_bound: abs,
-        chains: vec![chain],
-        chunks,
-        sharding: Some(ShardTable {
-            shard_lens: shards.iter().map(|s| s.len() as u64).collect(),
-            chunk_slots,
-            index_lens: Vec::new(),
-            chunk_crcs: Vec::new(),
-        }),
-        generation: None,
-    };
-    let mut out = manifest.encode();
-    out.reserve(shards.iter().map(Vec::len).sum());
-    for s in &shards {
-        out.extend_from_slice(s);
+    out.reserve(objects.iter().map(Vec::len).sum());
+    for o in &objects {
+        out.extend_from_slice(o);
     }
     out
 }
 
 impl ChunkedStore {
     /// Compresses `data` into a chunked stream with one codec chain.
-    ///
     /// Chunks are compressed in parallel on the shared rayon pool for
-    /// `threads` workers. Chunks that are contiguous dimension-0 slabs
-    /// are compressed from zero-copy borrowed views; interior chunks of
-    /// multi-axis grids are gathered into a chunk-sized buffer first
-    /// (unavoidable for non-contiguous regions of a row-major array).
+    /// `threads` workers.
     pub fn write<T: Element>(
         codec: &dyn Compressor,
         data: &NdArray<T>,
@@ -195,40 +250,9 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
         let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        // Resolve ε once against the global range: chunk-local ranges
-        // are narrower, so resolving per chunk would tighten the bound
-        // inconsistently across the grid.
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
-        let picks = vec![0usize; streams.len()];
-        Ok(assemble::<T>(
-            vec![codec.spec()],
-            &picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+        let picks = vec![0; grid.n_chunks()];
+        write_chunks(&[codec], Some(&picks), data, bound, &grid, None, threads)
     }
 
     /// Compresses `data` into a *sharded* (v3) stream: chunks are
@@ -249,41 +273,22 @@ impl ChunkedStore {
         chunks_per_shard: usize,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
         if chunks_per_shard == 0 || chunks_per_shard > MAX_SLOTS {
             return Err(CodecError::InvalidChain {
                 reason: "chunks_per_shard must be between 1 and MAX_SLOTS",
             });
         }
         let grid = ChunkGrid::new(data.shape(), chunk_shape);
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
-        Ok(assemble_sharded::<T>(
-            codec.spec(),
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-            chunks_per_shard,
-        ))
+        let picks = vec![0; grid.n_chunks()];
+        write_chunks(
+            &[codec],
+            Some(&picks),
+            data,
+            bound,
+            &grid,
+            Some(chunks_per_shard),
+            threads,
+        )
     }
 
     /// Compresses `data` with an explicit chain per chunk: chunk `i`
@@ -296,7 +301,6 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
         let grid = ChunkGrid::new(data.shape(), chunk_shape);
         if chains.is_empty() || chains.len() > MAX_CHAINS {
             return Err(CodecError::InvalidChain {
@@ -313,39 +317,12 @@ impl ChunkedStore {
                 reason: "pick index beyond the chain list",
             });
         }
-        let instances: Vec<Box<dyn Compressor>> = chains
+        let codecs: Vec<Box<dyn Compressor>> = chains
             .iter()
-            .map(|s| s.build_boxed())
+            .map(ChainSpec::build_boxed)
             .collect::<Result<_>>()?;
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let streams: Vec<Result<Vec<u8>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let codec = instances[picks[i]].as_ref();
-                    let region = grid.chunk_region(i);
-                    if grid.chunk_is_slab(i) {
-                        let view = data.slab(region.origin()[0], region.extent()[0]);
-                        compress_view(codec, view, bound)
-                    } else {
-                        let owned = gather(data, &region);
-                        compress_view(codec, owned.view(), bound)
-                    }
-                })
-                .collect()
-        });
-        let streams: Vec<Vec<u8>> = streams.into_iter().collect::<Result<_>>()?;
-        Ok(assemble::<T>(
-            chains.to_vec(),
-            picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+        let codecs: Vec<&dyn Compressor> = codecs.iter().map(Box::as_ref).collect();
+        write_chunks(&codecs, Some(picks), data, bound, &grid, None, threads)
     }
 
     /// Adaptive mode: for every chunk, prices each candidate chain with
@@ -362,61 +339,18 @@ impl ChunkedStore {
         chunk_shape: Shape,
         threads: usize,
     ) -> Result<Vec<u8>> {
-        assert!(threads >= 1, "thread count must be >= 1");
-        let grid = ChunkGrid::new(data.shape(), chunk_shape);
         if candidates.is_empty() || candidates.len() > MAX_CHAINS {
             return Err(CodecError::InvalidChain {
                 reason: "adaptive selection needs between 1 and MAX_CHAINS candidates",
             });
         }
-        let instances: Vec<Box<dyn Compressor>> = candidates
+        let grid = ChunkGrid::new(data.shape(), chunk_shape);
+        let codecs: Vec<Box<dyn Compressor>> = candidates
             .iter()
-            .map(|s| s.build_boxed())
+            .map(ChainSpec::build_boxed)
             .collect::<Result<_>>()?;
-        let abs = bound.to_absolute(data.value_range())?;
-        let bound = ErrorBound::Absolute(abs);
-
-        let ids: Vec<usize> = (0..grid.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let results: Vec<Result<(usize, Vec<u8>)>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let owned = gather(data, &grid.chunk_region(i));
-                    let mut best = 0usize;
-                    let mut best_cr = f64::NEG_INFINITY;
-                    for (c, inst) in instances.iter().enumerate() {
-                        let est = estimate_cr(
-                            inst.as_ref(),
-                            &owned,
-                            bound,
-                            ADAPTIVE_SAMPLE_SLABS,
-                            ADAPTIVE_SAMPLE_ROWS,
-                        )?;
-                        if est.cr > best_cr {
-                            best_cr = est.cr;
-                            best = c;
-                        }
-                    }
-                    let stream = compress(instances[best].as_ref(), &owned, bound)?;
-                    Ok((best, stream))
-                })
-                .collect()
-        });
-        let mut picks = Vec::with_capacity(results.len());
-        let mut streams = Vec::with_capacity(results.len());
-        for r in results {
-            let (pick, stream) = r?;
-            picks.push(pick);
-            streams.push(stream);
-        }
-        Ok(assemble::<T>(
-            candidates.to_vec(),
-            &picks,
-            streams,
-            data.shape(),
-            grid.chunk_shape(),
-            abs,
-        ))
+        let codecs: Vec<&dyn Compressor> = codecs.iter().map(Box::as_ref).collect();
+        write_chunks(&codecs, None, data, bound, &grid, None, threads)
     }
 
     /// Opens a stream, parsing and validating the manifest without
@@ -438,8 +372,8 @@ impl ChunkedStore {
     ///
     /// Rejects v4 generational manifests: their chunk offsets point
     /// into a surrounding mutable-store file, so they are only
-    /// openable through [`MutableStore`](crate::mutable::MutableStore)
-    /// (or [`ChunkedStore::open_generation`] with that file).
+    /// openable through [`MutableStore`] (or
+    /// [`ChunkedStore::open_generation`] with that file).
     pub fn open_arc(bytes: Arc<[u8]>) -> Result<Self> {
         let (manifest, payload_start) = Manifest::decode(&bytes)?;
         if manifest.generation.is_some() {
@@ -455,6 +389,19 @@ impl ChunkedStore {
             bytes,
             manifest,
         })
+    }
+
+    /// Opens whatever current array `bytes` holds: the newest
+    /// generation of an `EBMS` mutable-store file (exactly as
+    /// [`MutableStore::current`] would), otherwise an immutable `EBCS`
+    /// stream (as [`ChunkedStore::open_arc`]). Serving layers open
+    /// containers through here so the sniff has one definition.
+    pub fn open_current(bytes: Arc<[u8]>) -> Result<Self> {
+        if bytes.starts_with(MUTABLE_MAGIC) {
+            MutableStore::open_arc(bytes)?.current()
+        } else {
+            Self::open_arc(bytes)
+        }
     }
 
     /// Opens one generation of a mutable store: parses the v4 manifest
@@ -651,15 +598,20 @@ impl ChunkedStore {
         Ok(bytes)
     }
 
-    fn check_dtype<T: Element>(&self) -> Result<()> {
-        if self.manifest.dtype == Header::dtype_of::<T>() {
-            Ok(())
-        } else {
-            Err(CodecError::DtypeMismatch {
-                expected: if self.manifest.dtype == 0 { "f32" } else { "f64" },
-                got: T::NAME,
-            })
+    /// Checks that this store holds elements of type `T`. A tag naming
+    /// the other dtype is a [`CodecError::DtypeMismatch`]; a tag naming
+    /// no dtype at all is container corruption, reported as such rather
+    /// than as a mismatch against a dtype nobody stored.
+    pub fn check_dtype<T: Element>(&self) -> Result<()> {
+        let expected = match self.manifest.dtype {
+            0 => "f32",
+            1 => "f64",
+            _ => return Err(CodecError::Corrupt { context: "dtype tag" }),
+        };
+        if self.manifest.dtype != Header::dtype_of::<T>() {
+            return Err(CodecError::DtypeMismatch { expected, got: T::NAME });
         }
+        Ok(())
     }
 
     /// Builds one decoder per chain-table entry (shared across chunks);
@@ -765,37 +717,11 @@ impl ChunkedStore {
     }
 
     /// Decompresses the whole array, decoding chunks in parallel on the
-    /// shared rayon pool for `threads` workers.
+    /// shared rayon pool for `threads` workers (a
+    /// [`ChunkedStore::read_region`] of the full shape).
     pub fn read_full<T: Element>(&self, threads: usize) -> Result<NdArray<T>> {
         assert!(threads >= 1, "thread count must be >= 1");
-        self.check_dtype::<T>()?;
-        let decoders = self.decoders()?;
-        let ids: Vec<usize> = (0..self.n_chunks()).collect();
-        let pool = pool_for(threads)?;
-        let parts: Vec<Result<NdArray<T>>> = pool.install(|| {
-            ids.par_iter()
-                .map(|&i| {
-                    let codec = decoders[self.manifest.chunks[i].chain as usize].as_ref();
-                    self.decode_chunk(codec, i)
-                })
-                .collect()
-        });
-        let mut out = NdArray::<T>::zeros(self.manifest.shape);
-        for (i, part) in parts.into_iter().enumerate() {
-            let part = part?;
-            let region = self.grid.chunk_region(i);
-            let rank = region.rank();
-            copy_region(
-                part.as_slice(),
-                part.shape(),
-                &[0usize; MAX_RANK][..rank],
-                out.as_mut_slice(),
-                self.manifest.shape,
-                region.origin(),
-                region.extent(),
-            );
-        }
-        Ok(out)
+        pool_for(threads)?.install(|| self.read_region(&Region::full(self.shape())))
     }
 
     /// Decompresses exactly the chunks intersecting `region` and

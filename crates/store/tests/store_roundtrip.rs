@@ -4,7 +4,7 @@
 
 use eblcio_codec::{header, ChainSpec, CompressorId, ErrorBound};
 use eblcio_data::{max_rel_error, Element, NdArray, Shape};
-use eblcio_store::{ChunkedStore, Region};
+use eblcio_store::{ChunkedStore, MutableStore, Region};
 use proptest::prelude::*;
 
 fn field<T: Element>(shape: Shape) -> NdArray<T> {
@@ -653,5 +653,113 @@ proptest! {
         // And the contract holds end to end.
         let back = store.read_full::<f32>(2).unwrap();
         prop_assert!(max_rel_error(&data, &back) <= eps * SLACK);
+    }
+}
+
+/// `open_current` sniffs the container once for every serving layer: an
+/// `EBCS` stream opens exactly as `open_arc` would, an `EBMS` file
+/// serves its newest generation, and inputs that are neither (too short
+/// to carry a magic, or carrying the wrong one) are typed errors.
+#[test]
+fn open_current_opens_static_streams_and_current_generations() {
+    let data = field::<f32>(Shape::d2(20, 12));
+    let codec = CompressorId::Szx.instance();
+    let bound = ErrorBound::Relative(EPS);
+    let stream = ChunkedStore::write(codec.as_ref(), &data, bound, Shape::d2(8, 8), 2).unwrap();
+
+    let via_current = ChunkedStore::open_current(stream.clone().into()).unwrap();
+    let via_arc = ChunkedStore::open_arc(stream.clone().into()).unwrap();
+    assert_eq!(via_current.manifest(), via_arc.manifest());
+    assert_eq!(via_current.generation(), 0);
+    assert_eq!(
+        via_current.read_full::<f32>(1).unwrap().as_slice(),
+        via_arc.read_full::<f32>(1).unwrap().as_slice()
+    );
+
+    let mut mutable = MutableStore::import(&stream).unwrap();
+    let patch = NdArray::<f32>::from_fn(Shape::d2(4, 4), |_| 7.5);
+    mutable.update_region(&Region::new(&[0, 0], &[4, 4]), &patch, 1).unwrap();
+    let current = ChunkedStore::open_current(mutable.snapshot()).unwrap();
+    assert_eq!(current.generation(), 2);
+    let corner = current.read_region::<f32>(&Region::new(&[0, 0], &[4, 4])).unwrap();
+    let range = data.value_range();
+    assert!(corner.as_slice().iter().all(|&v| ((v - 7.5).abs() as f64) <= EPS * SLACK * range));
+
+    let mut bad_magic = stream.clone();
+    bad_magic[..4].copy_from_slice(b"XXXX");
+    for bytes in [&b"EBC"[..], &b"EBM"[..], &b"EBMS"[..], &bad_magic[..]] {
+        assert!(ChunkedStore::open_current(bytes.into()).is_err(), "{:?}", &bytes[..3]);
+    }
+}
+
+/// Pins the exact bytes every writer emits: a crc32 over each whole
+/// stream, at 1 and at 3 threads (chunks compress independently, so the
+/// thread count must not change a byte). `write` runs over both chunk
+/// layouts: dimension-0 slabs (compressed from borrowed views) and
+/// multi-axis chunks (gathered first). A change here means the on-disk
+/// bytes changed, which stores and the CRC-keyed caches over them would
+/// notice.
+#[test]
+fn writer_streams_are_byte_stable() {
+    const WANT: &[(&str, u32)] = &[
+        ("write/SZ2", 0xa9df5526),
+        ("write_slab/SZ2", 0x64e229d6),
+        ("write_sharded/SZ2", 0x705fc8cd),
+        ("write/SZ3", 0x8c8c757b),
+        ("write_slab/SZ3", 0xb122c207),
+        ("write_sharded/SZ3", 0x100233dd),
+        ("write/ZFP", 0x6d187423),
+        ("write_slab/ZFP", 0x6a533e48),
+        ("write_sharded/ZFP", 0xa3090e28),
+        ("write/QoZ", 0xdf01cc46),
+        ("write_slab/QoZ", 0xc60eb882),
+        ("write_sharded/QoZ", 0x32900b20),
+        ("write/SZx", 0x7c05ed4c),
+        ("write_slab/SZx", 0x410b9113),
+        ("write_sharded/SZx", 0xbc9eb7df),
+        ("write_mixed", 0xaeadb536),
+        ("write_adaptive", 0x003a059d),
+    ];
+    let data = field::<f32>(Shape::d3(20, 12, 12));
+    let cube = Shape::d3(8, 8, 8);
+    let slab = Shape::d3(6, 12, 12);
+    let bound = ErrorBound::Relative(EPS);
+    let chains = vec![
+        ChainSpec::preset(CompressorId::Sz3),
+        ChainSpec::preset(CompressorId::Szx),
+        ChainSpec::parse("sz2+shuffle4+lz").unwrap(),
+    ];
+    let picks: Vec<usize> = (0..12).map(|i| (i * 7) % chains.len()).collect();
+    for threads in [1, 3] {
+        let mut got: Vec<(String, Vec<u8>)> = Vec::new();
+        for id in CompressorId::ALL {
+            let codec = id.instance();
+            let (c, name) = (codec.as_ref(), id.name());
+            got.push((
+                format!("write/{name}"),
+                ChunkedStore::write(c, &data, bound, cube, threads).unwrap(),
+            ));
+            got.push((
+                format!("write_slab/{name}"),
+                ChunkedStore::write(c, &data, bound, slab, threads).unwrap(),
+            ));
+            got.push((
+                format!("write_sharded/{name}"),
+                ChunkedStore::write_sharded(c, &data, bound, cube, 5, threads).unwrap(),
+            ));
+        }
+        got.push((
+            "write_mixed".into(),
+            ChunkedStore::write_mixed(&chains, &picks, &data, bound, cube, threads).unwrap(),
+        ));
+        got.push((
+            "write_adaptive".into(),
+            ChunkedStore::write_adaptive(&chains, &data, bound, cube, threads).unwrap(),
+        ));
+        let got: Vec<(&str, u32)> = got
+            .iter()
+            .map(|(n, s)| (n.as_str(), eblcio_codec::util::crc32(s)))
+            .collect();
+        assert_eq!(got, WANT, "writer bytes changed at {threads} thread(s)");
     }
 }

@@ -593,13 +593,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     };
     // `query` serves static EBCS streams and the current generation of
     // EBMS mutable files identically.
-    let store = if stream.get(..4) == Some(&eblcio::store::mutable::MUTABLE_MAGIC[..]) {
-        MutableStore::open_arc(stream)
-            .and_then(|m| m.current())
-            .map_err(|e| e.to_string())?
-    } else {
-        ChunkedStore::open_arc(stream).map_err(|e| e.to_string())?
-    };
+    let store = ChunkedStore::open_current(stream).map_err(|e| e.to_string())?;
     let region = Region::new(&origin, &extent);
     if !region.fits_in(store.shape()) {
         return Err(format!(
